@@ -1,6 +1,6 @@
 """Crypto backend bench: batched ``tables`` vs per-block ``pure`` hot path.
 
-Three measurements, each emitting a JSON perf record (``PERF_RECORD {...}``
+Four measurements, each emitting a JSON perf record (``PERF_RECORD {...}``
 on stdout) that ``tools/bench_record.py`` can append to the
 ``BENCH_crypto.json`` trajectory:
 
@@ -10,8 +10,13 @@ on stdout) that ``tools/bench_record.py`` can append to the
    on noisy shared runners).
 2. ``test_open_many_throughput`` -- the reply-element shape: one 48-byte
    sealed message trial-decrypted under many candidate keys in a single
-   batched call.  Same equality + floor.
-3. ``test_sha256_fastpath`` -- hashlib-backed SHA-256 vs the from-scratch
+   batched call.  Same equality + floor.  Its keys repeat, so after the
+   first call it times schedule-cache hits.
+3. ``test_open_many_cold_throughput`` -- the same shape under 64 keys
+   neither backend has seen, so every call pays the key schedule: the
+   path trial decryption takes on candidate-heavy handshakes.  Same
+   equality + floor.
+4. ``test_sha256_fastpath`` -- hashlib-backed SHA-256 vs the from-scratch
    pure implementation, cross-checked digest-for-digest.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_crypto_backends.py
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 import timeit
 
 from repro.crypto import aes
@@ -116,6 +122,45 @@ def test_open_many_throughput():
     )
 
 
+def _best_of_cold(backend, sealed: bytes, repeat: int) -> float:
+    """Best wall-clock of ``open_many`` under a fresh key set per run."""
+    best = float("inf")
+    for _ in range(repeat):
+        keys = [_RNG.randbytes(32) for _ in range(N_KEYS)]
+        start = time.perf_counter()
+        backend.open_many(keys, sealed)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_open_many_cold_throughput():
+    """Trial decryption under never-seen keys must beat the per-key loop >= 5x."""
+    aes.configure_schedule_cache(1024)
+    pure, tables = get_backend("pure"), get_backend("tables")
+    keys = [_RNG.randbytes(32) for _ in range(N_KEYS)]
+    sealed = _RNG.randbytes(REPLY_ELEMENT_LEN)
+    assert tables.open_many(keys, sealed) == pure.open_many(keys, sealed), (
+        "backends disagree on trial decryption"
+    )
+
+    t_tables = _best_of_cold(tables, sealed, repeat=5)
+    t_pure = _best_of_cold(pure, sealed, repeat=3)
+    speedup = t_pure / t_tables
+    _emit({
+        "bench": "crypto_open_many_cold",
+        "keys": N_KEYS,
+        "ciphertext_bytes": REPLY_ELEMENT_LEN,
+        "pure_seconds": round(t_pure, 5),
+        "tables_seconds": round(t_tables, 5),
+        "speedup": round(speedup, 2),
+        "tables_trials_per_sec": round(N_KEYS / t_tables),
+        "floor": AES_SPEEDUP_FLOOR,
+    })
+    assert speedup >= AES_SPEEDUP_FLOOR, (
+        f"cold open_many speedup {speedup:.2f}x < {AES_SPEEDUP_FLOOR}x"
+    )
+
+
 def test_sha256_fastpath():
     """hashlib-backed SHA-256 vs the from-scratch reference, cross-checked."""
     pure, tables = get_backend("pure"), get_backend("tables")
@@ -143,4 +188,5 @@ def test_sha256_fastpath():
 if __name__ == "__main__":
     test_aes_buffer_throughput()
     test_open_many_throughput()
+    test_open_many_cold_throughput()
     test_sha256_fastpath()

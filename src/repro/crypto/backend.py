@@ -45,6 +45,7 @@ measurable (the Table IV question), not to change protocol hashing.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import OrderedDict
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -148,6 +149,16 @@ class PureBackend(CryptoBackend):
 _SBOX_TABLE = bytes(_SBOX)
 _INV_SBOX_TABLE = bytes(_INV_SBOX)
 
+# The key schedule transposes 4-byte words through ``cast("I")`` views.
+if struct.calcsize("I") != 4:  # pragma: no cover
+    raise ImportError("TablesBackend needs a 4-byte C unsigned int")
+
+# Cuts one key's whole schedule into its 16-byte round keys, in C.
+_ROUND_KEY_CUTS = {
+    rounds: struct.Struct(f"{BLOCK_SIZE}s" * (rounds + 1))
+    for rounds in _ROUNDS_BY_KEY_LEN.values()
+}
+
 
 def _pattern_mask(offsets: Sequence[int], n_blocks: int) -> int:
     """Big-endian mask selecting byte *offsets* within every 16-byte block."""
@@ -239,10 +250,10 @@ class TablesBackend(CryptoBackend):
         return masks
 
     def _round_key_bytes(self, key: bytes) -> list[bytes]:
-        """Per-round 16-byte round keys for one key (cached)."""
+        """Per-round 16-byte round keys for one ``bytes`` key (cached)."""
         rks = self._round_keys.get(key)
         if rks is None:
-            rks = self._expand_uncached([bytes(key)])[0]
+            rks = self._expand_uncached([key])[0]
         else:
             self._round_keys.move_to_end(key)
         return rks
@@ -253,11 +264,21 @@ class TablesBackend(CryptoBackend):
         The FIPS-197 schedule is sequential in *words* but embarrassingly
         parallel across *keys*, so word ``i`` of every key is computed at
         once on one packed integer: RotWord is a masked rotate, SubWord a
-        single :meth:`bytes.translate`, the rest XORs.  Trial decryption
-        mints mostly-fresh candidate keys (wrong-key decryptions of the
-        sealed message), so expansion -- not the rounds -- dominates once
-        the round loops are batched; this removes that wall.  Results are
-        cached per key; every key in *keys* must have the same length.
+        single :meth:`bytes.translate`, the rest XORs.
+
+        Getting keys into that word-major layout and schedules back out of
+        it is a 4-byte-word transpose, done as C-level strided copies over
+        ``memoryview(...).cast("I")`` views: word ``i`` of every key is the
+        slice ``[i::nk]`` of the joined keys, and key ``j``'s schedule is
+        the slice ``[j::n_keys]`` of the joined schedule words, which one
+        precompiled :class:`struct.Struct` cuts into 16-byte round keys.
+        The interpreter runs a few operations per schedule word and per
+        key, never one per key per word.
+
+        Trial decryption mints mostly-fresh candidate keys (wrong-key
+        decryptions of the sealed message), so candidate-heavy handshakes
+        take this miss path for almost every key.  Results are cached per
+        key; every key in *keys* must be ``bytes`` of the same length.
         """
         n_keys = len(keys)
         key_len = len(keys[0])
@@ -266,10 +287,8 @@ class TablesBackend(CryptoBackend):
         nk = key_len // 4
         total_words = 4 * (rounds + 1)
         cell = 4 * n_keys
-        words = [
-            int.from_bytes(b"".join(key[4 * i : 4 * i + 4] for key in keys), "big")
-            for i in range(nk)
-        ]
+        key_words = memoryview(b"".join(keys)).cast("I")
+        words = [int.from_bytes(key_words[i::nk], "big") for i in range(nk)]
         tail3 = int.from_bytes(b"\x00\xff\xff\xff" * n_keys, "big")
         head1 = int.from_bytes(b"\xff\x00\x00\x00" * n_keys, "big")
         for i in range(nk, total_words):
@@ -286,16 +305,14 @@ class TablesBackend(CryptoBackend):
                     temp.to_bytes(cell, "big").translate(_SBOX_TABLE), "big"
                 )
             words.append(words[i - nk] ^ temp)
-        word_bytes = [w.to_bytes(cell, "big") for w in words]
-        schedules = []
-        for j in range(n_keys):
-            lo = 4 * j
-            rks = [
-                b"".join(word_bytes[4 * r + c][lo : lo + 4] for c in range(4))
-                for r in range(rounds + 1)
-            ]
-            self._round_keys[keys[j]] = rks
-            schedules.append(rks)
+        schedule_words = memoryview(
+            b"".join([w.to_bytes(cell, "big") for w in words])
+        ).cast("I")
+        cut = _ROUND_KEY_CUTS[rounds].unpack
+        schedules = [
+            list(cut(schedule_words[j::n_keys].tobytes())) for j in range(n_keys)
+        ]
+        self._round_keys.update(zip(keys, schedules))
         while len(self._round_keys) > self._RK_CACHE_MAX:
             self._round_keys.popitem(last=False)
         return schedules
@@ -316,7 +333,7 @@ class TablesBackend(CryptoBackend):
                 self._round_keys.move_to_end(key)
                 schedules[key] = cached
             else:
-                missing.append(bytes(key))
+                missing.append(key)
                 schedules[key] = []  # placeholder: marks the key as seen
         if missing:
             for key, rks in zip(missing, self._expand_uncached(missing)):
@@ -427,6 +444,9 @@ class TablesBackend(CryptoBackend):
         return state.to_bytes(length, "big")
 
     def _replicated_round_keys(self, key: bytes, n_blocks: int) -> list[int]:
+        # Keys are normalized to ``bytes`` here, the single-key boundary:
+        # the schedule cache needs a hashable key (a bytearray is not).
+        key = bytes(key)
         return [
             int.from_bytes(rk * n_blocks, "big") for rk in self._round_key_bytes(key)
         ]
@@ -461,9 +481,10 @@ class TablesBackend(CryptoBackend):
         scattered back into input order.
         """
         _require_aligned(data, "plaintext" if encrypt else "ciphertext")
-        results: list[bytes | None] = [None] * len(keys)
         if not keys:
             return []
+        keys = list(map(bytes, keys))  # hashable schedule-cache keys
+        results: list[bytes | None] = [None] * len(keys)
         by_len: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
             _validate_key_len(len(key))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,15 @@ from repro.crypto.modes import decrypt_ecb, encrypt_ecb
 PURE = get_backend("pure")
 TABLES = get_backend("tables")
 
-keys = st.sampled_from([16, 24, 32]).flatmap(
-    lambda n: st.binary(min_size=n, max_size=n)
-)
-key_lists = st.lists(
-    st.binary(min_size=32, max_size=32), min_size=0, max_size=12
-)
+
+def _bytes_or_bytearray(n: int):
+    """An n-byte key as ``bytes`` or ``bytearray``: backends accept both."""
+    raw = st.binary(min_size=n, max_size=n)
+    return st.one_of(raw, raw.map(bytearray))
+
+
+keys = st.sampled_from([16, 24, 32]).flatmap(_bytes_or_bytearray)
+key_lists = st.lists(_bytes_or_bytearray(32), min_size=0, max_size=12)
 buffers = st.integers(min_value=0, max_value=24).flatmap(
     lambda n: st.binary(min_size=16 * n, max_size=16 * n)
 )
@@ -204,6 +208,45 @@ class TestBatchedKeySchedule:
         for key, schedule in zip(dict.fromkeys(keys), batched):
             assert schedule == reference[key]
 
+    @staticmethod
+    def _assert_reference(backend, keys):
+        from repro.crypto.aes import AES
+
+        for key, schedule in zip(keys, backend._expand_uncached(keys)):
+            assert schedule == [bytes(rk) for rk in AES(key)._round_keys]
+
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    @pytest.mark.parametrize("n_keys", [48, 64])
+    def test_benchmark_batch_sizes_equal_reference(self, n_keys, key_len):
+        rng = random.Random(n_keys * key_len)
+        keys = [rng.randbytes(key_len) for _ in range(n_keys)]
+        self._assert_reference(TablesBackend(), keys)
+
+    def test_batch_larger_than_cache_equals_reference(self):
+        # One call that evicts its own first keys before it returns.
+        backend = TablesBackend()
+        rng = random.Random(1025)
+        keys = [rng.randbytes(32) for _ in range(backend._RK_CACHE_MAX + 76)]
+        self._assert_reference(backend, keys)
+        assert len(backend._round_keys) == backend._RK_CACHE_MAX
+        assert list(backend._round_keys) == keys[-backend._RK_CACHE_MAX :]
+
+    def test_oversized_seal_many_equals_pure(self):
+        backend = TablesBackend()
+        rng = random.Random(7)
+        keys = [rng.randbytes(32) for _ in range(backend._RK_CACHE_MAX + 76)]
+        payload = rng.randbytes(16)
+        assert backend.seal_many(keys, payload) == PURE.seal_many(keys, payload)
+
+    def test_mixed_lengths_in_one_seal_many_equal_pure(self):
+        rng = random.Random(11)
+        keys = [rng.randbytes(rng.choice([16, 24, 32])) for _ in range(64)]
+        assert {len(key) for key in keys} == {16, 24, 32}
+        payload = rng.randbytes(48)
+        sealed = TablesBackend().seal_many(keys, payload)
+        assert sealed == PURE.seal_many(keys, payload)
+        assert TablesBackend().open_many(keys, payload) == PURE.open_many(keys, payload)
+
     def test_cache_burst_does_not_lose_in_flight_hits(self):
         from repro.crypto.backend import TablesBackend
 
@@ -216,3 +259,55 @@ class TestBatchedKeySchedule:
         assert backend.seal_many(burst, payload) == [
             encrypt_ecb(k, payload) for k in burst
         ]
+
+
+class TestScheduleCacheHits:
+    """Keys already in the schedule LRU are never expanded again."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        backend = TablesBackend()
+        expanded = []
+        original = backend._expand_uncached
+
+        def counting(keys):
+            expanded.append(list(keys))
+            return original(keys)
+
+        monkeypatch.setattr(backend, "_expand_uncached", counting)
+        return backend, expanded
+
+    def test_second_open_many_expands_nothing(self, counted):
+        backend, expanded = counted
+        rng = random.Random(2)
+        keys = [rng.randbytes(32) for _ in range(64)]
+        sealed = rng.randbytes(48)
+        first = backend.open_many(keys, sealed)
+        assert expanded == [keys]
+        expanded.clear()
+        assert backend.open_many(keys, sealed) == first
+        reordered = keys[::-1]
+        assert backend.seal_many(reordered, sealed) == PURE.seal_many(reordered, sealed)
+        assert backend.open_many([bytearray(k) for k in keys], sealed) == first
+        assert expanded == []
+
+    def test_second_encrypt_ecb_expands_nothing(self, counted):
+        backend, expanded = counted
+        key = b"e" * 24
+        plaintext = b"p" * 32
+        ciphertext = backend.encrypt_ecb(key, plaintext)
+        assert expanded == [[key]]
+        expanded.clear()
+        assert backend.encrypt_ecb(key, plaintext) == ciphertext
+        assert backend.decrypt_ecb(bytearray(key), ciphertext) == plaintext
+        assert backend.open_many([key], ciphertext) == [plaintext]
+        assert expanded == []
+
+    def test_only_misses_are_expanded(self, counted):
+        backend, expanded = counted
+        cached = [bytes([i]) * 32 for i in range(4)]
+        fresh = [bytes([100 + i]) * 32 for i in range(3)]
+        backend.open_many(cached, b"\x00" * 16)
+        expanded.clear()
+        backend.open_many(cached + fresh + cached, b"\x00" * 16)
+        assert expanded == [fresh]
