@@ -11,6 +11,11 @@ Two measurements guarding the city-scale substrate:
 2. ``test_city_topology_scales`` builds a 10 000-node connected city
    topology through the grid path and emits its build time — the number
    future scaling PRs regress against.
+3. ``test_churn_runner_index_beats_scan`` drives a
+   :class:`~repro.network.churn.ChurnRunner` through ~300 join, leave,
+   crash and wake actions over a 10 000-node placement and times its
+   indexed join/wake neighbourhood lookup against the brute-force scan
+   of every position, asserting identical lists and the speedup floor.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_grid_topology.py -s
 """
@@ -19,10 +24,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
+from repro.network.churn import ChurnModel, ChurnRunner, ChurnSpec
 from repro.network.mobility import RandomWaypoint
 from repro.network.topology import city_topology, naive_adjacency
+
+# The brute-force join-neighbourhood oracle lives with the runner's tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "network"))
+from test_churn_runner import scan_neighbours  # noqa: E402
 
 N_NODES = 5_000
 RADIUS = 0.02  # expected degree = n * pi * r^2 ~ 6.3
@@ -94,6 +106,71 @@ def test_city_topology_scales():
     print("PERF_RECORD " + json.dumps(record))
 
 
+class _LookupTimer:
+    """Engine stand-in: at each join or wake, times both lookups."""
+
+    def __init__(self):
+        self.runner = None
+        self.index_s = 0.0
+        self.scan_s = 0.0
+        self.lookups = 0
+
+    def join_node(self, node_id, participant, neighbours, *, position):
+        runner = self.runner
+        start = time.perf_counter()
+        indexed = runner.neighbours_of(node_id)
+        self.index_s += time.perf_counter() - start
+        start = time.perf_counter()
+        scanned = scan_neighbours(runner.positions, runner.live, node_id, runner.radio_radius)
+        self.scan_s += time.perf_counter() - start
+        assert indexed == scanned == neighbours, f"{node_id}: index diverged from the scan"
+        self.lookups += 1
+
+    def step(self, now_ms):
+        pass
+
+    def crash_node(self, node_id):
+        pass
+
+    def leave_node(self, node_id):
+        pass
+
+    def forget_node(self, node_id):
+        pass
+
+
+def test_churn_runner_index_beats_scan():
+    """Join/wake neighbourhoods from the runner's grid: same lists, faster."""
+    nodes = 10_000
+    positions = RandomWaypoint([f"n{i}" for i in range(nodes)], seed=3).positions()
+    spec = ChurnSpec(join_rate_per_s=3.0, leave_rate_per_s=3.0,
+                     crash_rate_per_s=3.0, sleep_ms=3_000)
+    timer = _LookupTimer()
+    runner = ChurnRunner(timer, ChurnModel(spec, seed=3),
+                         positions=positions, radio_radius=RADIUS)
+    timer.runner = runner
+    runner.drive(0, 25_000)
+
+    assert runner.events_applied >= 250 and timer.lookups >= 100
+    speedup = timer.scan_s / timer.index_s
+    record = {
+        "bench": "churn_runner_neighbourhoods",
+        "nodes": nodes,
+        "radius": RADIUS,
+        "actions": runner.events_applied,
+        "lookups": timer.lookups,
+        "scan_seconds": round(timer.scan_s, 4),
+        "index_seconds": round(timer.index_s, 4),
+        "speedup": round(speedup, 2),
+    }
+    print()
+    print("PERF_RECORD " + json.dumps(record))
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"indexed join neighbourhoods {speedup:.1f}x < required {SPEEDUP_FLOOR}x over the scan"
+    )
+
+
 if __name__ == "__main__":
     test_grid_beats_naive_at_5k()
     test_city_topology_scales()
+    test_churn_runner_index_beats_scan()

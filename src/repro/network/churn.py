@@ -30,9 +30,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 
 from repro.network.channel_backend import fate_threshold
+from repro.network.topology import SpatialGrid
 
 __all__ = [
     "ChurnEvent",
@@ -50,6 +52,19 @@ SCENARIO_CHURN_SLEEP_MS = 5_000
 
 _TICK_PREFIX_TAG = b"repro.churn.v1:"
 _U64 = struct.Struct(">Q")
+
+# Actions due at the same millisecond apply in this order, whichever
+# drive() call booked them: a run cut into chunks replays the single
+# drive's order exactly.
+_KIND_RANK = {"churn": 0, "fault": 1, "tick": 2, "wake": 3}
+
+# Join neighbourhoods come from a grid whose cells are a hair wider than
+# the radius.  A pair the scan predicate accepts is at most r * (1 + 4u)
+# apart on each axis (u = 2**-53), and dividing coordinates by the cell
+# size adds at most u * |x| / cell of error, so the pair lies in adjacent
+# cells -- inside the 3x3 block -- for any position within a million
+# cells of the origin.
+_CELL_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,8 +190,16 @@ class ChurnRunner:
     The runner owns the *application* side of determinism: it steps the
     engine to each action boundary (so every engine -- sequential or
     sharded -- executes exactly the same events before the same action),
-    resolves victims against its sorted live set, computes join
+    resolves victims against its sorted live view, computes join
     neighbourhoods from positions, and books sleep-wake returns.
+
+    Two indexes keep each action's cost independent of the population:
+    a :class:`~repro.network.topology.SpatialGrid` over the live nodes'
+    positions answers neighbourhood queries, and ``live_sorted`` holds
+    the live set in sorted order for victim draws.  Both ``live`` and
+    ``live_sorted`` are read-only to callers: every change to the live
+    set goes through :meth:`set_live`, which updates the set and both
+    indexes together.
 
     Parameters
     ----------
@@ -189,13 +212,16 @@ class ChurnRunner:
         current for joiners and uses it for neighbourhood computation.
         Departed nodes keep their position (they wake where they slept).
     radio_radius:
-        Unit-disk radius for join/wake neighbourhoods.
+        Unit-disk radius for join/wake neighbourhoods (non-negative).
     participant_factory:
         ``(node_id, joiner_index) -> Participant | None`` for brand-new
         joiners; wakers keep their original participant.
     faults:
-        Compiled fault actions ``(time_ms, FaultAction)`` (see
-        :func:`repro.network.faults.compile_campaign`).
+        Compiled fault actions ``(time_ms, FaultAction, wake_ms)`` (see
+        :func:`repro.network.faults.compile_campaign`; a hand-built
+        ``(time_ms, FaultAction)`` pair serves an action that wakes
+        nobody), booked once here however many :meth:`drive` calls the
+        run takes.
     """
 
     def __init__(
@@ -206,44 +232,78 @@ class ChurnRunner:
         positions: dict[str, tuple[float, float]],
         radio_radius: float,
         participant_factory=None,
-        faults: list[tuple[int, object]] | tuple = (),
+        faults: list[tuple] | tuple = (),
     ):
+        if radio_radius < 0:
+            raise ValueError(f"radio_radius must be non-negative, got {radio_radius!r}")
         self.engine = engine
         self.model = model
         self.positions = dict(positions)
         self.radio_radius = radio_radius
         self.participant_factory = participant_factory
-        self.faults = list(faults)
-        self.live: set[str] = set(self.positions)
         self.joined = 0
         self.events_applied = 0
-        self._agenda: list[tuple[int, int, str, object]] = []
+        # positions-insertion rank: neighbour lists come out in this order,
+        # and it sets the order add_node links neighbours in.
+        self._rank = {node: i for i, node in enumerate(self.positions)}
+        self._next_rank = len(self._rank)
+        self.live: set[str] = set()
+        self.live_sorted: list[str] = []
+        self._grid = SpatialGrid(radio_radius * _CELL_SLACK)
+        for node_id in self.positions:
+            self.set_live(node_id, True)
+        self._agenda: list[tuple[int, int, int, str, object]] = []
         self._agenda_seq = 0
-        # Drive window, exposed so fault actions can pin horizon fractions
-        # (e.g. blackout wake times) to absolute simulated milliseconds.
-        self._fault_start = 0
-        self._fault_horizon = 0
+        # Churn ticks before this time are on the agenda already.
+        self._booked_until = 0
+        for time_ms, *fault in faults:
+            self._book(time_ms, "fault", fault)
 
-    # -- agenda plumbing -----------------------------------------------------
+    # -- the live set and its indexes ----------------------------------------
 
-    def _book(self, time_ms: int, kind: str, payload) -> None:
-        heapq.heappush(self._agenda, (time_ms, self._agenda_seq, kind, payload))
-        self._agenda_seq += 1
+    def set_live(self, node_id: str, live: bool) -> None:
+        """Add *node_id* to, or drop it from, the live set and its indexes."""
+        if live:
+            self.live.add(node_id)
+            insort(self.live_sorted, node_id)
+            self._grid.insert(node_id, *self.positions[node_id])
+        else:
+            self.live.remove(node_id)
+            del self.live_sorted[bisect_left(self.live_sorted, node_id)]
+            self._grid.remove(node_id)
 
-    def _neighbours_of(self, node_id: str) -> list[str]:
-        """Live nodes within the radio radius of *node_id*'s position."""
+    def neighbours_of(self, node_id: str) -> list[str]:
+        """Other live nodes within the radio radius of live *node_id*.
+
+        Equal, list for list, to scanning every position in insertion
+        order with ``dx*dx + dy*dy <= r*r``: the grid block holds every
+        node that predicate accepts, and the hits are put back in
+        insertion order.
+        """
         x, y = self.positions[node_id]
         radius_sq = self.radio_radius * self.radio_radius
-        live = self.live
+        positions = self.positions
+        grid = self._grid
         out = []
-        for other, (ox, oy) in self.positions.items():
-            if other == node_id or other not in live:
+        for other in grid.block(grid.cell_of(node_id)):
+            if other == node_id:
                 continue
+            ox, oy = positions[other]
             dx = ox - x
             dy = oy - y
             if dx * dx + dy * dy <= radius_sq:
                 out.append(other)
+        out.sort(key=self._rank.__getitem__)
         return out
+
+    # -- agenda plumbing -----------------------------------------------------
+
+    def _book(self, time_ms: int, kind: str, payload) -> None:
+        heapq.heappush(
+            self._agenda,
+            (time_ms, _KIND_RANK[kind], self._agenda_seq, kind, payload),
+        )
+        self._agenda_seq += 1
 
     # -- applying one action -------------------------------------------------
 
@@ -253,22 +313,24 @@ class ChurnRunner:
             node_id = f"j{self.joined}"
             self.joined += 1
             self.positions[node_id] = (event.x, event.y)
-            self.live.add(node_id)
+            self._rank[node_id] = self._next_rank
+            self._next_rank += 1
+            self.set_live(node_id, True)
             participant = (
                 self.participant_factory(node_id, self.joined - 1)
                 if self.participant_factory is not None
                 else None
             )
             engine.join_node(
-                node_id, participant, self._neighbours_of(node_id),
+                node_id, participant, self.neighbours_of(node_id),
                 position=(event.x, event.y),
             )
         else:
-            candidates = sorted(self.live)
+            candidates = self.live_sorted
             if not candidates:
                 return
             victim = candidates[event.draw % len(candidates)]
-            self.live.discard(victim)
+            self.set_live(victim, False)
             if event.kind == "crash":
                 engine.crash_node(victim)
                 if self.model.spec.sleep_ms > 0:
@@ -280,23 +342,24 @@ class ChurnRunner:
                 # Free it, or an hours-long soak leaks one Node (and its
                 # session table) per leave.
                 engine.forget_node(victim)
-                self.positions.pop(victim, None)
+                del self.positions[victim]
+                del self._rank[victim]
         self.events_applied += 1
 
     def _apply_wake(self, node_id: str) -> None:
         if node_id in self.live:  # pragma: no cover -- victims leave the live set
             return
-        self.live.add(node_id)
+        self.set_live(node_id, True)
         self.engine.join_node(
-            node_id, None, self._neighbours_of(node_id),
+            node_id, None, self.neighbours_of(node_id),
             position=self.positions[node_id],
         )
         self.events_applied += 1
 
-    def _apply_fault(self, action) -> None:
+    def _apply_fault(self, fault) -> None:
         from repro.network.faults import apply_fault_action
 
-        apply_fault_action(self, action)
+        apply_fault_action(self, *fault)
         self.events_applied += 1
 
     # -- the drive loop ------------------------------------------------------
@@ -305,19 +368,21 @@ class ChurnRunner:
               step_ms: int | None = None, on_step=None) -> None:
         """Step the engine to *horizon_ms*, applying every action on the way.
 
-        Actions (churn events, fault actions, booked wakes) execute at
-        their exact boundary: the engine first steps to the action time,
-        then the action applies.  *step_ms* adds regular boundaries with
-        no action of their own; *on_step(runner, now_ms)* runs at each of
-        them -- the soak harness's injection/assertion hook.  The caller
-        finishes the run (``engine.finish()``) when done.
+        Actions (churn events, fault actions, booked wakes) due up to and
+        including *horizon_ms* execute at their exact boundary: the engine
+        first steps to the action time, then the action applies.  Each
+        churn tick is booked once, by the first call whose window reaches
+        it, so ``drive(0, h)`` equals ``drive(0, m)`` followed by
+        ``drive(m, h)``.  *step_ms* adds regular boundaries strictly
+        inside the window with no action of their own; *on_step(runner,
+        now_ms)* runs at each of them -- the soak harness's
+        injection/assertion hook.  The caller finishes the run
+        (``engine.finish()``) when done.
         """
-        self._fault_start = start_ms
-        self._fault_horizon = horizon_ms
-        for event in self.model.events(start_ms, horizon_ms):
+        until_ms = horizon_ms + 1
+        for event in self.model.events(max(start_ms, self._booked_until), until_ms):
             self._book(event.time_ms, "churn", event)
-        for time_ms, action in self.faults:
-            self._book(time_ms, "fault", action)
+        self._booked_until = max(self._booked_until, until_ms)
         if step_ms is not None:
             for tick_ms in range(start_ms + step_ms, horizon_ms, step_ms):
                 self._book(tick_ms, "tick", None)
@@ -328,7 +393,7 @@ class ChurnRunner:
             now_ms = agenda[0][0]
             engine.step(now_ms)
             while agenda and agenda[0][0] == now_ms:
-                _, _, kind, payload = heapq.heappop(agenda)
+                _, _, _, kind, payload = heapq.heappop(agenda)
                 if kind == "churn":
                     self._apply_churn(payload)
                 elif kind == "wake":

@@ -130,46 +130,62 @@ def load_fault_plan(name: str | FaultCampaign) -> FaultCampaign:
 
 def compile_campaign(
     campaign: FaultCampaign, start_ms: int, horizon_ms: int
-) -> list[tuple[int, FaultAction]]:
-    """Pin a campaign's horizon fractions to absolute simulated times."""
+) -> list[tuple[int, FaultAction, int | None]]:
+    """Pin a campaign's horizon fractions to absolute simulated times.
+
+    Each entry is ``(time_ms, action, wake_ms)``: the firing time and the
+    wake time (None when the action wakes nobody), both pinned against
+    the campaign's own window, so the result is the same however many
+    ``drive`` calls the run is cut into.
+    """
     span = max(0, horizon_ms - start_ms)
+
+    def pin(fraction: float) -> int:
+        return start_ms + round(fraction * span)
+
     return [
-        (start_ms + round(action.at * span), action)
+        (pin(action.at), action,
+         None if action.wake_after is None else pin(action.wake_after))
         for action in campaign.actions
     ]
 
 
-def apply_fault_action(runner, action: FaultAction) -> None:
+def apply_fault_action(runner, action: FaultAction,
+                       wake_ms: int | None = None) -> None:
     """Apply one action through a :class:`~repro.network.churn.ChurnRunner`.
 
     Lives here (not on the runner) so the campaign vocabulary and its
     semantics stay in one module; the runner supplies the live set,
-    positions and the engine.
+    positions and the engine.  *wake_ms* is the action's pinned wake time
+    from :func:`compile_campaign`, required exactly when it has a
+    ``wake_after``.
     """
+    if (action.wake_after is None) != (wake_ms is None):
+        raise ValueError(
+            "wake_ms must be given exactly when wake_after is set: "
+            "pin the campaign with compile_campaign"
+        )
     engine = runner.engine
     now_ms = engine._queue.now_ms
 
     def _crash(victim: str) -> None:
-        runner.live.discard(victim)
+        runner.set_live(victim, False)
         engine.crash_node(victim)
-        if action.wake_after is not None:
-            span = runner._fault_horizon - runner._fault_start
-            wake_at = runner._fault_start + round(action.wake_after * span)
-            runner._book(max(wake_at, now_ms + 1), "wake", victim)
+        if wake_ms is not None:
+            runner._book(max(wake_ms, now_ms + 1), "wake", victim)
 
     if action.kind == "crash_initiator":
         victim = engine.episode_initiator_node(action.episode)
         if victim is not None and victim in runner.live:
             _crash(victim)
     elif action.kind == "crash_fraction":
-        candidates = sorted(runner.live)
         stride = max(1, round(1.0 / action.fraction))
-        for victim in candidates[::stride]:
+        for victim in runner.live_sorted[::stride]:
             _crash(victim)
     elif action.kind == "session_pressure":
         import hashlib
 
-        for node_id in sorted(runner.live):
+        for node_id in runner.live_sorted:
             node = engine.network.nodes[node_id]
             for i in range(action.count):
                 rid = hashlib.sha256(

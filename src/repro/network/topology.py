@@ -163,8 +163,21 @@ class SpatialGrid:
             out.append((old, new))
         return out
 
-    def _block(self, cell: tuple[int, int]) -> Iterable[str]:
-        """All nodes bucketed in the 3×3 block around *cell*."""
+    def remove(self, node: str) -> None:
+        """Drop *node* from the grid; its id may be inserted again later."""
+        cell = self._where.pop(node)
+        del self._pos[node]
+        bucket = self._cells[cell]
+        del bucket[node]
+        if not bucket:
+            del self._cells[cell]
+
+    def block(self, cell: tuple[int, int]) -> Iterable[str]:
+        """All nodes bucketed in the 3×3 block around *cell*.
+
+        Order is bucket by bucket, each in insertion order: deterministic,
+        but not the order the nodes were inserted overall.
+        """
         cx, cy = cell
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -174,13 +187,13 @@ class SpatialGrid:
 
     def block_occupants(self, cell: tuple[int, int]) -> set[str]:
         """The 3×3 block contents as a set (incremental-refresh helper)."""
-        return set(self._block(cell))
+        return set(self.block(cell))
 
     def query(self, x: float, y: float) -> list[str]:
         """Every node within *radius* of the point ``(x, y)``."""
         out = []
         r = self.radius
-        for other in self._block(self._cell_of(x, y)):
+        for other in self.block(self._cell_of(x, y)):
             ox, oy = self._pos[other]
             if math.hypot(ox - x, oy - y) <= r:
                 out.append(other)
@@ -191,7 +204,7 @@ class SpatialGrid:
         x, y = self._pos[node]
         out = []
         r = self.radius
-        for other in self._block(self._where[node]):
+        for other in self.block(self._where[node]):
             if other == node:
                 continue
             ox, oy = self._pos[other]

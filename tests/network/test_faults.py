@@ -45,7 +45,7 @@ class TestRegistry:
             assert campaign.description
             assert campaign.actions
             compiled = compile_campaign(campaign, 0, 100_000)
-            assert all(0 <= t <= 100_000 for t, _ in compiled)
+            assert all(0 <= t <= 100_000 for t, *_ in compiled)
 
 
 class TestActionValidation:
@@ -83,7 +83,7 @@ class TestActionValidation:
             FaultAction(at=0.5, kind="region_restart"),
             FaultAction(at=1.0, kind="region_restart"),
         ))
-        assert [t for t, _ in compile_campaign(campaign, 1_000, 11_000)] == [
+        assert [t for t, *_ in compile_campaign(campaign, 1_000, 11_000)] == [
             1_000, 6_000, 11_000,
         ]
 

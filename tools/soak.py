@@ -129,7 +129,7 @@ def run_soak(args) -> dict:
 
     def on_step(runner, now_ms: int) -> None:
         if now_ms % args.inject_every_ms == 0 and runner.live:
-            ordered = sorted(runner.live)
+            ordered = runner.live_sorted
             node = ordered[(state["injected"] * 7) % len(ordered)]
             community = state["injected"] % spec.communities
             tags = [f"c{community}:tag{j}" for j in range(spec.tags_per_community)]
